@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import tempfile
 import zipfile
 import zlib
@@ -36,6 +37,23 @@ from .session import Session
 
 #: reserved archive key holding the JSON {variable: crc32} map
 _CHECKSUM_KEY = "__repro_crc32__"
+
+#: ZIP "version needed to extract" for archives with ZIP64 extra fields
+_ZIP64_VERSION = 45
+
+#: sizes and offsets above this take ZIP64 fields (``zipfile.ZIP64_LIMIT``)
+_ZIP64_LIMIT = (1 << 31) - 1
+
+#: the DOS date :class:`zipfile.ZipInfo` stamps by default: 1980-01-01
+_ZIP_EPOCH = (1 << 5) | 1
+
+#: the CRC-32 polynomial, bit-reflected as zlib uses it
+_CRC32_POLY = 0xEDB88320
+
+#: arrays at least this large get their member CRC by combination rather
+#: than by a second pass over their memory (one combination costs about
+#: as much as a CRC pass over 100-300 KB)
+_CRC_COMBINE_MIN_BYTES = 1 << 17
 
 
 class CheckpointError(FrameworkError):
@@ -61,7 +79,38 @@ class CheckpointCorruptError(CheckpointError):
 
 
 def _array_crc32(array: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+    return zlib.crc32(np.ascontiguousarray(array))
+
+
+def _gf2_multiply(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC-32 polynomial (zlib's ``multmodp``)."""
+    mask, product = 1 << 31, 0
+    while True:
+        if a & mask:
+            product ^= b
+            if not a & (mask - 1):
+                return product
+        mask >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+
+
+#: x^(2^k) modulo the CRC-32 polynomial, k = 0..31
+_X2N = [1 << 30]
+for _ in range(31):
+    _X2N.append(_gf2_multiply(_X2N[-1], _X2N[-1]))
+
+
+def _crc32_combine(crc1: int, crc2: int, length2: int) -> int:
+    """CRC32 of ``A + B`` from ``crc32(A)``, ``crc32(B)`` and ``len(B)``,
+    as zlib's ``crc32_combine``: ``crc1`` shifted past ``length2`` zero
+    bytes, then XORed with ``crc2``."""
+    shift, k = 1 << 31, 3  # x^0; bytes are 2^3 bits
+    while length2:
+        if length2 & 1:
+            shift = _gf2_multiply(_X2N[k & 31], shift)
+        length2 >>= 1
+        k += 1
+    return _gf2_multiply(shift, crc1) ^ crc2
 
 
 def _graph_variables(graph: Graph) -> dict[str, VariableOp]:
@@ -100,31 +149,107 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
                 pass
 
 
-def _archive_arrays(session: Session) -> dict[str, np.ndarray]:
-    """Every variable's current value plus the CRC32 checksum payload."""
-    variables = _graph_variables(session.graph)
-    arrays = {name: session.variable_value(op.output)
-              for name, op in variables.items()}
-    # Per-variable CRC32 checksums, stored as a reserved JSON payload in
-    # the archive and verified on restore (see CheckpointCorruptError).
-    checksums = {name: _array_crc32(value)
-                 for name, value in arrays.items()}
-    arrays[_CHECKSUM_KEY] = np.frombuffer(
-        json.dumps(checksums, sort_keys=True).encode("utf-8"),
-        dtype=np.uint8).copy()
-    return arrays
+def _npy_header(array: np.ndarray) -> bytes:
+    """The ``.npy`` (format 1.0) header :func:`np.save` writes for
+    ``array``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array))
+    return header.getvalue()
+
+
+def _zip_stored(members) -> bytes:
+    """The archive ``np.savez`` writes, byte for byte, in one pass.
+
+    ``members`` holds ``(name, header, data, crc)``: each member's
+    bytes are ``header`` followed by ``data`` (any C-contiguous buffer)
+    and ``crc`` is their CRC32. The layout is what :mod:`zipfile` writes
+    for ``np.savez``: stored members stamped 1980-01-01, ZIP64 local
+    headers, and ZIP64 directory fields only where a size or offset
+    needs them. The result is one ``bytes.join`` — a single allocation
+    of the final size, each array's memory copied once.
+    """
+    parts, directory, offset = [], [], 0
+    for name, header, data, crc in members:
+        try:
+            encoded, flags = name.encode("ascii"), 0
+        except UnicodeEncodeError:
+            encoded, flags = name.encode("utf-8"), 0x800
+        size = len(header) + data.nbytes
+        local = struct.pack(
+            "<IHHHHHIIIHH", 0x04034B50, _ZIP64_VERSION, flags, 0, 0,
+            _ZIP_EPOCH, crc, 0xFFFFFFFF, 0xFFFFFFFF, len(encoded), 20)
+        parts += [local, encoded, struct.pack("<HHQQ", 1, 16, size, size),
+                  header, data]
+        wide = [size, size] if size > _ZIP64_LIMIT else []
+        if offset > _ZIP64_LIMIT:
+            wide.append(offset)
+        extra = struct.pack(f"<HH{len(wide)}Q", 1, 8 * len(wide), *wide) \
+            if wide else b""
+        stored = 0xFFFFFFFF if size > _ZIP64_LIMIT else size
+        directory += [
+            struct.pack("<IBBHHHHHIIIHHHHHII", 0x02014B50, _ZIP64_VERSION,
+                        3, _ZIP64_VERSION, flags, 0, 0, _ZIP_EPOCH, crc,
+                        stored, stored, len(encoded), len(extra), 0, 0, 0,
+                        0o600 << 16,
+                        0xFFFFFFFF if offset > _ZIP64_LIMIT else offset),
+            encoded, extra]
+        offset += len(local) + len(encoded) + 20 + size
+    count = len(members)
+    directory_size = sum(len(part) for part in directory)
+    if count > 0xFFFF or offset > _ZIP64_LIMIT \
+            or directory_size > _ZIP64_LIMIT:
+        directory.append(struct.pack(
+            "<IQHHIIQQQQIIQI", 0x06064B50, 44, _ZIP64_VERSION,
+            _ZIP64_VERSION, 0, 0, count, count, directory_size, offset,
+            0x07064B50, 0, offset + directory_size, 1))
+    directory.append(struct.pack(
+        "<IHHHHIIH", 0x06054B50, 0, 0, min(count, 0xFFFF),
+        min(count, 0xFFFF), min(directory_size, 0xFFFFFFFF),
+        min(offset, 0xFFFFFFFF), 0))
+    return b"".join(parts + directory)
+
+
+def _archive_member(name: str, array: np.ndarray):
+    """The ``(member name, header, data, crc)`` ``np.savez`` stores for
+    ``array``, and the array's own CRC32 for the checksum table."""
+    header = _npy_header(array)
+    header_crc = zlib.crc32(header)
+    c_order = np.ascontiguousarray(array)
+    checksum = zlib.crc32(c_order)
+    # np.save writes a Fortran-ordered array in its own memory order and
+    # says so in the header; everything else in C order.
+    if array.flags.f_contiguous and not array.flags.c_contiguous:
+        data, crc = array.T, zlib.crc32(array.T, header_crc)
+    elif c_order.nbytes >= _CRC_COMBINE_MIN_BYTES:
+        data = c_order
+        crc = _crc32_combine(header_crc, checksum, c_order.nbytes)
+    else:
+        data, crc = c_order, zlib.crc32(c_order, header_crc)
+    return (name + ".npy", header, data, crc), checksum
 
 
 def save_bytes(session: Session) -> bytes:
     """Serialize every variable's current value to ``.npz`` bytes.
 
-    Same archive format as :func:`save`, minus the filesystem: the
-    returned bytes restore through :func:`restore_bytes` (or any
-    file-based restore after being written out verbatim).
+    The archive holds the members :func:`np.savez` would write — one
+    ``<variable>.npy`` per variable plus the CRC32 checksum table, same
+    names, same bytes — but is built in one pass: each checksum is taken
+    over the array's own memory and each array is copied once, into the
+    final buffer. The bytes restore through :func:`restore_bytes` (or
+    :func:`restore`, once written to a file).
     """
-    buffer = io.BytesIO()
-    np.savez(buffer, **_archive_arrays(session))
-    return buffer.getvalue()
+    members, checksums = [], {}
+    for name, op in _graph_variables(session.graph).items():
+        member, checksums[name] = _archive_member(
+            name, session.variable_value(op.output))
+        members.append(member)
+    # Per-variable CRC32 checksums, stored as a reserved JSON payload in
+    # the archive and verified on restore (see CheckpointCorruptError).
+    table = np.frombuffer(json.dumps(checksums, sort_keys=True)
+                          .encode("utf-8"), dtype=np.uint8)
+    members.append(_archive_member(_CHECKSUM_KEY, table)[0])
+    return _zip_stored(members)
 
 
 def save(session: Session, path: str | os.PathLike) -> list[str]:
@@ -138,14 +263,11 @@ def save(session: Session, path: str | os.PathLike) -> list[str]:
     the previous checkpoint (if any) survives untouched, and the
     temporary file is cleaned up.
     """
-    arrays = _archive_arrays(session)
     final = os.fspath(path)
     if not final.endswith(".npz"):  # np.savez's own suffix convention
         final += ".npz"
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    atomic_write_bytes(final, buffer.getvalue())
-    return sorted(name for name in arrays if name != _CHECKSUM_KEY)
+    atomic_write_bytes(final, save_bytes(session))
+    return sorted(_graph_variables(session.graph))
 
 
 def _read_archive(source, label: str) -> dict[str, np.ndarray]:

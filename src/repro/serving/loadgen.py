@@ -71,11 +71,13 @@ class LoadGenerator:
         server, config = self.server, self.config
         if config.qps > 0:
             # True open loop: arrivals follow a precomputed absolute
-            # schedule. A slow batch does NOT push later arrivals out
-            # (the coordinated-omission trap) — requests whose arrival
-            # time already passed while the server was busy are
-            # submitted immediately as a backlog burst.
-            due = 0.0
+            # schedule, anchored at the clock's time when the run starts
+            # (a virtual clock's 0.0, a real clock's monotonic now). A
+            # slow batch does NOT push later arrivals out (the
+            # coordinated-omission trap) — requests whose arrival time
+            # already passed while the server was busy are submitted
+            # immediately as a backlog burst.
+            due = server.clock.now()
             for index in range(config.requests):
                 now = server.clock.now()
                 if now < due:

@@ -30,11 +30,13 @@ be restorable even while data-path operations are failing.
 
 from __future__ import annotations
 
+import errno
 import os
 
 from ..framework.checkpoint import atomic_write_bytes
 from ..framework.clock import Clock, SystemClock
-from ..framework.errors import BlobNotFoundError
+from ..framework.errors import (BlobNotFoundError, StorageError,
+                                StorageFullError)
 from ..framework.faults import StorageFaultInjector
 
 
@@ -75,6 +77,11 @@ class BlobStore:
 
     def detach_faults(self) -> None:
         self._faults = None
+
+    @property
+    def faults_armed(self) -> bool:
+        """Whether an injector is attached (its op order is global)."""
+        return self._faults is not None
 
     # -- the operation protocol --------------------------------------------
 
@@ -212,6 +219,12 @@ class LocalDirStore(BlobStore):
     through :func:`~repro.framework.checkpoint.atomic_write_bytes`, so
     even a *real* crash mid-put leaves either the old blob or the new
     one — injected torn writes model the stores that lack this barrier.
+
+    A real I/O failure is a storage failure like an injected one: an
+    ``OSError`` from put/get/delete surfaces as
+    :class:`~repro.framework.errors.StorageError` naming the store and
+    the key (:class:`~repro.framework.errors.StorageFullError` for
+    ``ENOSPC``), so replication masks it instead of crashing on it.
     """
 
     def __init__(self, root: str | os.PathLike, store_id: int = 0,
@@ -219,6 +232,15 @@ class LocalDirStore(BlobStore):
         super().__init__(store_id, clock, op_seconds)
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
+
+    def _run_op(self, op: str, key: str | None, action):
+        try:
+            return super()._run_op(op, key, action)
+        except OSError as exc:
+            error = StorageFullError if exc.errno == errno.ENOSPC \
+                else StorageError
+            raise error(f"store {self.store_id}: {op} {key!r} failed: "
+                        f"{exc}") from exc
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, *key.split("/"))

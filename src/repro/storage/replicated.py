@@ -37,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +224,65 @@ class ReplicatedCheckpointStore:
                 step=step, kind=kind, store=store, key=key,
                 seconds_lost=seconds_lost, detail=detail))
 
+    # -- fan-out -----------------------------------------------------------
+
+    def _concurrent(self) -> bool:
+        """Whether operations on different replicas may overlap.
+
+        Only on the real clock with no fault injector armed: an
+        injector's global op index and RNG stream are defined by store
+        order, and so is virtual time, so those groups stay in order.
+        """
+        clocks = [self.clock] + [store.clock for store in self.stores]
+        return (len(self.stores) > 1
+                and all(isinstance(clock, SystemClock) for clock in clocks)
+                and not any(store.faults_armed for store in self.stores))
+
+    def _fan_out(self, task, meanwhile=lambda: None):
+        """Run ``task(store)`` for every store; return what they raised.
+
+        Returns ``(meanwhile(), errors)``: ``errors`` holds, in store
+        order, the exception each task raised (``None`` for success) for
+        the caller to tally on its own thread. When :meth:`_concurrent`,
+        every store gets its own thread for the length of the call and
+        ``meanwhile`` runs on the calling thread while they work; only
+        after every worker has returned does anything come back.
+        Otherwise ``meanwhile`` runs first and the tasks run one after
+        another, stopping at an exception that is not a
+        :class:`StorageError`, exactly as a plain loop would.
+        """
+        if not self._concurrent():
+            result, errors = meanwhile(), []
+            for store in self.stores:
+                try:
+                    task(store)
+                except BaseException as exc:  # re-raised by the caller
+                    errors.append(exc)
+                    if not isinstance(exc, StorageError):
+                        break
+                else:
+                    errors.append(None)
+            return result, errors
+        errors = [None] * len(self.stores)
+
+        def work(index: int) -> None:
+            try:
+                task(self.stores[index])
+            except BaseException as exc:  # re-raised by the caller
+                errors[index] = exc
+
+        workers = [threading.Thread(target=work, args=(index,),
+                                    name=f"replica-{index}")
+                   for index in range(len(self.stores))]
+        for worker in workers:
+            worker.start()
+        try:
+            result = meanwhile()
+        finally:
+            for worker in workers:
+                worker.join()
+        return result, errors
+
     # -- writing -----------------------------------------------------------
 
     def save(self, session, step: int = -1) -> CheckpointRecord:
@@ -240,29 +301,48 @@ class ReplicatedCheckpointStore:
         Raises :class:`CheckpointQuorumError` when fewer than ``quorum``
         stores acknowledge — the checkpoint is then *not committed* and
         restore will never prefer it over an older committed one.
+
+        Replicas are written concurrently when :meth:`_concurrent`
+        allows, with the payload digest computed while the payloads land.
         """
         started = self.clock.now()
         checkpoint_id = self._next_id
         self._next_id += 1  # ids advance even on failure: no reuse
-        digest = hashlib.sha256(data).hexdigest()
-        manifest = json.dumps(
-            {"kind": MANIFEST_KIND, "id": checkpoint_id, "digest": digest,
-             "size": len(data), "step": step},
-            sort_keys=True).encode("utf-8")
-        acked = 0
-        for store in self.stores:
+        payload_key = _payload_key(checkpoint_id)
+        manifest_key = _manifest_key(checkpoint_id)
+        manifest = Future()
+
+        def write(store: BlobStore) -> None:
+            # Payload first, manifest second: a replica without a
+            # manifest is invisible to restore, so an interruption
+            # between the two writes can never expose partial state.
+            store.put(payload_key, data)
+            store.put(manifest_key, manifest.result())
+
+        def seal() -> str:
             try:
-                # Payload first, manifest second: a replica without a
-                # manifest is invisible to restore, so an interruption
-                # between the two writes can never expose partial state.
-                store.put(_payload_key(checkpoint_id), data)
-                store.put(_manifest_key(checkpoint_id), manifest)
+                digest = hashlib.sha256(data).hexdigest()
+                manifest.set_result(json.dumps(
+                    {"kind": MANIFEST_KIND, "id": checkpoint_id,
+                     "digest": digest, "size": len(data), "step": step},
+                    sort_keys=True).encode("utf-8"))
+            except BaseException as exc:
+                manifest.set_exception(exc)  # release the writers
+                raise
+            return digest
+
+        digest, errors = self._fan_out(write, meanwhile=seal)
+        acked = 0
+        for store, error in zip(self.stores, errors):
+            if error is None:
                 acked += 1
-            except StorageError as exc:
+            elif isinstance(error, StorageError):
                 self.counters["replica_write_failures"] += 1
                 self._emit(checkpoint_id, "replica_write_failed",
-                           store.store_id, _payload_key(checkpoint_id),
-                           0.0, f"replica write failed: {exc}")
+                           store.store_id, payload_key,
+                           0.0, f"replica write failed: {error}")
+            else:
+                raise error
         elapsed = self.clock.now() - started
         record = CheckpointRecord(
             checkpoint_id=checkpoint_id, digest=digest, replicas=acked,
@@ -270,7 +350,7 @@ class ReplicatedCheckpointStore:
         if not record.committed:
             self.counters["commit_failures"] += 1
             self._emit(checkpoint_id, "commit_failed", -1,
-                       _payload_key(checkpoint_id), elapsed,
+                       payload_key, elapsed,
                        f"checkpoint {checkpoint_id} missed quorum: "
                        f"{acked}/{self.quorum} replicas acknowledged")
             raise CheckpointQuorumError(
@@ -279,8 +359,7 @@ class ReplicatedCheckpointStore:
                 f"(quorum {self.quorum})", record=record)
         self.counters["commits"] += 1
         self._committed.append(checkpoint_id)
-        self._emit(checkpoint_id, "commit", -1,
-                   _payload_key(checkpoint_id), elapsed,
+        self._emit(checkpoint_id, "commit", -1, payload_key, elapsed,
                    f"checkpoint {checkpoint_id} committed on "
                    f"{acked}/{len(self.stores)} replicas "
                    f"(digest {digest[:12]}…)")
@@ -498,12 +577,18 @@ class ReplicatedCheckpointStore:
         for cid in self.checkpoint_ids():
             if cid >= cutoff:
                 continue
-            for store in self.stores:
+
+            def collect(store: BlobStore, cid: int = cid) -> None:
                 for key in (_payload_key(cid), _manifest_key(cid)):
                     try:
                         store.delete(key)
                     except StorageError:
                         pass  # unreachable store: scrub-era leftovers
+
+            _, errors = self._fan_out(collect)
+            for error in errors:
+                if error is not None:
+                    raise error
             collected += 1
         self._committed = [cid for cid in self._committed if cid >= cutoff]
         if collected:

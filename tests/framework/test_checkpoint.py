@@ -1,15 +1,21 @@
 """Tests for variable checkpointing."""
 
+import io
 import json
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
 
+from repro import workloads
 from repro.framework import checkpoint, ops
 from repro.framework.checkpoint import CheckpointError
 from repro.framework.graph import Graph
 from repro.framework.optimizers import GradientDescentOptimizer
 from repro.framework.session import Session
+from repro.storage import state_digests
+from repro.workloads import WORKLOAD_NAMES
 
 
 def small_model():
@@ -120,25 +126,24 @@ class TestAtomicSave:
 
     def test_interrupted_save_preserves_previous_checkpoint(
             self, fresh_graph, tmp_path, monkeypatch):
-        """A crash mid-write (simulated: savez writes partial bytes then
-        dies) must leave the previous checkpoint intact and loadable."""
+        """A crash mid-write (simulated: the archive writer dies part-way)
+        must leave the previous checkpoint intact and loadable."""
         session = self.make_session(fresh_graph, 1.0)
         path = tmp_path / "model.npz"
         checkpoint.save(session, path)
 
-        real_savez = np.savez
+        real_writer = checkpoint._zip_stored
 
-        def dying_savez(file, **arrays):
-            file.write(b"PK\x03\x04 truncated")  # partial, invalid npz
+        def dying_writer(members):
             raise OSError("simulated crash mid-save")
 
-        monkeypatch.setattr(checkpoint.np, "savez", dying_savez)
+        monkeypatch.setattr(checkpoint, "_zip_stored", dying_writer)
         session.set_variable(
             session.graph.operations[0].output,
             np.full(4, 2.0, dtype=np.float32))
         with pytest.raises(OSError, match="simulated crash"):
             checkpoint.save(session, path)
-        monkeypatch.setattr(checkpoint.np, "savez", real_savez)
+        monkeypatch.setattr(checkpoint, "_zip_stored", real_writer)
 
         # The old checkpoint survives, bit-for-bit valid.
         restored = Session(fresh_graph, seed=3)
@@ -151,10 +156,10 @@ class TestAtomicSave:
             self, fresh_graph, tmp_path, monkeypatch):
         session = self.make_session(fresh_graph, 1.0)
 
-        def dying_savez(file, **arrays):
+        def dying_writer(members):
             raise OSError("simulated crash mid-save")
 
-        monkeypatch.setattr(checkpoint.np, "savez", dying_savez)
+        monkeypatch.setattr(checkpoint, "_zip_stored", dying_writer)
         with pytest.raises(OSError):
             checkpoint.save(session, tmp_path / "model.npz")
         assert list(tmp_path.iterdir()) == []
@@ -390,3 +395,105 @@ class TestBytesTransport:
                            match="ckpt/00000000/payload"):
             checkpoint.restore_bytes(session, bytes(data),
                                      source="ckpt/00000000/payload")
+
+
+def savez_reference(session) -> bytes:
+    """The archive np.savez wrote for ``session`` before the one-pass
+    writer: the variables in graph order, then a checksum table of
+    CRC32s over ``tobytes()`` copies."""
+    arrays = {name: session.variable_value(op.output)
+              for name, op in checkpoint._graph_variables(
+                  session.graph).items()}
+    table = {name: zlib.crc32(np.ascontiguousarray(value).tobytes())
+             for name, value in arrays.items()}
+    arrays[checkpoint._CHECKSUM_KEY] = np.frombuffer(
+        json.dumps(table, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def archive_members(data: bytes) -> list[tuple[str, bytes]]:
+    """``(name, bytes)`` of every member, in archive order; reading each
+    member checks its CRC32."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return [(name, archive.read(name)) for name in archive.namelist()]
+
+
+def assert_writer_matches_savez(session) -> bytes:
+    data = checkpoint.save_bytes(session)
+    assert archive_members(data) == archive_members(
+        savez_reference(session))
+    with np.load(io.BytesIO(data)) as archive:
+        for name, op in checkpoint._graph_variables(session.graph).items():
+            expected = session.variable_value(op.output)
+            assert archive[name].shape == expected.shape
+            assert archive[name].dtype == expected.dtype
+            np.testing.assert_array_equal(archive[name], expected)
+    return data
+
+
+class TestOnePassWriter:
+    """save_bytes writes what np.savez wrote: same members, same bytes,
+    same checksum table — built in one pass over the arrays' memory."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_every_workload_matches_savez_and_restores_bitwise(self,
+                                                              name):
+        model = workloads.create(name, config="tiny", seed=0)
+        model.run_training(1)  # optimizer slots and step counters move
+        data = assert_writer_matches_savez(model.session)
+        fork = model.session.fork(seed=1)
+        checkpoint.restore_bytes(fork, data)
+        assert state_digests(fork) == state_digests(model.session)
+
+    def test_edge_case_values_match_savez(self, fresh_graph):
+        scalar = ops.variable(np.float32(3.5), name="adam_t")
+        empty = ops.variable(np.zeros((0, 3), dtype=np.float32),
+                             name="empty")
+        half = ops.variable(np.array([1.5, -2.0], dtype=np.float16),
+                            name="half")
+        small = ops.variable(np.array([-3, 0, 7], dtype=np.int8),
+                             name="small")
+        fortran = ops.variable(np.zeros((3, 4), dtype=np.float32),
+                               name="fortran")
+        strided = ops.variable(np.zeros((3, 4), dtype=np.float32),
+                               name="strided")
+        big = ops.variable(np.zeros((600, 70), dtype=np.float32),
+                           name="big")  # over the CRC-combine size
+        session = Session(fresh_graph, seed=0)
+        values = np.arange(48, dtype=np.float32).reshape(6, 8)
+        session.set_variable(fortran, np.asfortranarray(values[:3, :4]))
+        session.set_variable(strided, values[::2, ::2])
+        session.set_variable(big, np.random.default_rng(0).standard_normal(
+            (600, 70)).astype(np.float32))
+        assert not session.variable_value(strided).flags.c_contiguous
+        assert session.variable_value(fortran).flags.f_contiguous
+        data = assert_writer_matches_savez(session)
+
+        fresh = Session(fresh_graph, seed=1)
+        checkpoint.restore_bytes(fresh, data)
+        assert state_digests(fresh) == state_digests(session)
+        assert fresh.variable_value(scalar).shape == ()
+        for var in (empty, half, small):
+            assert fresh.variable_value(var).dtype == var.dtype
+
+    def test_zip64_fields_match_savez(self, fresh_graph, monkeypatch):
+        """Past the ZIP64 limit (lowered here so it is reachable) the
+        directory carries ZIP64 sizes, offsets and end records exactly
+        as zipfile writes them for np.savez."""
+        ops.variable(np.ones((40, 40), dtype=np.float32), name="w")
+        ops.variable(np.zeros(3, dtype=np.int8), name="b")
+        session = Session(fresh_graph, seed=0)
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+        monkeypatch.setattr(checkpoint, "_ZIP64_LIMIT", 1000)
+        assert checkpoint.save_bytes(session) == savez_reference(session)
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 4096, 1 << 17, 300_001])
+    def test_crc32_combine_matches_zlib(self, length):
+        rng = np.random.default_rng(length)
+        head = rng.integers(0, 256, 61, dtype=np.uint8).tobytes()
+        tail = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert checkpoint._crc32_combine(
+            zlib.crc32(head), zlib.crc32(tail), length) \
+            == zlib.crc32(head + tail)

@@ -1,11 +1,14 @@
 """Tests for the serving engine: dispatch, failover, degradation, SLOs."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import workloads
 from repro.framework.errors import (DeadlineExceededError, RequestRejected,
                                     ServingError)
+from repro.framework.clock import SystemClock
 from repro.framework.faults import ServingFaultPlan, ServingFaultSpec
 from repro.profiling.tracer import Tracer
 from repro.serving import (InferenceServer, LoadConfig, LoadGenerator,
@@ -240,6 +243,24 @@ class TestDeterminism:
         assert first[1] == second[1]
         assert first[2] == second[2]
         assert first[0].to_json() == second[0].to_json()
+
+
+class TestOpenLoopOnTheSystemClock:
+    def test_schedule_is_paced_in_real_time(self, memnet):
+        """On a real clock the open loop waits for each arrival time, so
+        the run lasts at least the scheduled span and a low rate sheds
+        nothing (anchoring the schedule at 0.0 against the monotonic
+        clock once made every arrival overdue: one unpaced burst)."""
+        requests, qps = 12, 100.0
+        server = InferenceServer(memnet, ServingConfig(
+            replicas=2, default_deadline_ms=1000.0), clock=SystemClock())
+        started = time.monotonic()
+        report = LoadGenerator(server, LoadConfig(
+            requests=requests, qps=qps, jitter=0.0, seed=1)).run()
+        elapsed = time.monotonic() - started
+        assert elapsed >= (requests - 1) / qps
+        assert report.shed == 0
+        assert report.ok == requests
 
 
 class TestReport:
