@@ -27,19 +27,16 @@ from repro.workloads import WORKLOAD_NAMES  # noqa: E402
 
 def main() -> None:
     overheads = _measure_overheads()
-    overheads_codegen = _measure_overheads(backend="codegen")
     dispatch = {name: _measure_workload(name) for name in WORKLOAD_NAMES}
     payload = {
         "metadata": {
             "recorded": time.strftime("%Y-%m-%d"),
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "note": ("framework overhead: default config, interp and "
-                     "codegen backends; dispatch: tiny config, training "
-                     "fetches, best-of-3"),
+            "note": ("framework overhead: default config; dispatch: "
+                     "tiny config, training fetches, best-of-3"),
         },
         "overhead_fraction": overheads,
-        "overhead_fraction_codegen": overheads_codegen,
         "workloads": dispatch,
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -47,7 +44,6 @@ def main() -> None:
     for name in WORKLOAD_NAMES:
         r = dispatch[name]
         print(f"  {name:>10s}  overhead {overheads[name]:6.2%}  "
-              f"codegen {overheads_codegen[name]:6.2%}  "
               f"plan {r['plan_seconds_per_step']:.6f}s/step  "
               f"legacy {r['legacy_seconds_per_step']:.6f}s/step  "
               f"({r['dispatch_speedup']:.2f}x)")

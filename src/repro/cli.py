@@ -205,8 +205,7 @@ def cmd_list(args) -> int:
 
 def _build(args):
     from repro.workloads import create
-    model = create(args.workload, config=args.config, seed=args.seed,
-                   backend=getattr(args, "backend", None))
+    model = create(args.workload, config=args.config, seed=args.seed)
     print(f"{model!r}", file=sys.stderr)
     return model
 
@@ -730,14 +729,6 @@ def cmd_compile(args) -> int:
               f"{plan.planned_peak_bytes / 1e6:.2f} MB; arena hit rate "
               f"{plan.memory.hit_rate:.2f}; compiled in "
               f"{plan.compile_seconds * 1e3:.2f} ms")
-    if getattr(args, "dump_kernels", False):
-        kernels = plan.kernel_sources()
-        if not kernels:
-            print("no generated kernels "
-                  "(compiled with the interpreter backend)")
-        for label, source in kernels:
-            print(f"# --- {label} " + "-" * max(0, 56 - len(label)))
-            print(source)
     return 0
 
 
@@ -879,10 +870,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                         choices=["tiny", "default", "paper"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=2)
-    parser.add_argument("--backend", default=None,
-                        choices=["interp", "codegen"],
-                        help="execution backend: the plan interpreter "
-                             "(default) or generated region kernels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1229,9 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--report", action="store_true",
                                 help="pass-by-pass report (op counts, "
                                      "planned peak, arena reuse)")
-    compile_parser.add_argument("--dump-kernels", action="store_true",
-                                help="print the generated source of every "
-                                     "codegen region kernel")
     compile_parser.set_defaults(handler=cmd_compile)
 
     memory_parser = commands.add_parser(

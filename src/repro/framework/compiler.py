@@ -61,28 +61,12 @@ class PlanOptions:
     still gaining slot-indexed dispatch and compile-time feed checking.
     ``full()`` enables the whole pipeline. Plain sessions default to
     structural; the workload models opt into full.
-
-    ``backend`` selects how the scheduled plan executes: ``"interp"``
-    dispatches one step at a time in the session's interpreter loop;
-    ``"codegen"`` additionally partitions the schedule into regions of
-    pure compute steps and ``exec``-compiles one generated numpy kernel
-    per region (see :mod:`repro.framework.codegen`). The backend is part
-    of the plan-cache key and is orthogonal to the pass flags.
     """
 
     eliminate_identities: bool = True
     fold_constants: bool = True
     merge_subexpressions: bool = True
     fuse_lstm: bool = True
-    backend: str = "interp"
-
-    _BACKENDS = ("interp", "codegen")
-
-    def __post_init__(self):
-        if self.backend not in self._BACKENDS:
-            raise ValueError(
-                f"unknown plan backend {self.backend!r}; expected one of "
-                f"{self._BACKENDS}")
 
     @classmethod
     def structural(cls) -> "PlanOptions":
@@ -95,49 +79,33 @@ class PlanOptions:
 
     @classmethod
     def coerce(cls, value) -> "PlanOptions":
-        """Accept an options object, a level name, or None (structural).
-
-        Level strings may carry a ``+codegen`` suffix (and the bare
-        string ``"codegen"`` means ``full`` with the codegen backend).
-        """
+        """Accept an options object, a level name, or None (structural)."""
         if value is None:
             return cls.structural()
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             level = value.lower()
-            backend = "interp"
-            if level == "codegen":
-                return cls(backend="codegen")
-            if level.endswith("+codegen"):
-                level = level[:-len("+codegen")]
-                backend = "codegen"
             if level in ("structural", "none"):
-                return replace(cls.structural(), backend=backend)
+                return cls.structural()
             if level in ("full", "all"):
-                return replace(cls.full(), backend=backend)
+                return cls.full()
             raise ValueError(
                 f"unknown optimization level {value!r}; "
-                "expected 'structural'/'none' or 'full'/'all' "
-                "(optionally with a '+codegen' suffix), or 'codegen'")
+                "expected 'structural'/'none' or 'full'/'all'")
         raise TypeError(
             f"optimize must be a PlanOptions, a level name, or None; "
             f"got {type(value).__name__}")
 
     def describe(self) -> str:
-        flags = replace(self, backend="interp")
-        if flags == PlanOptions.full():
-            base = "full"
-        elif flags == PlanOptions.structural():
-            base = "structural"
-        else:
-            enabled = [name for name, on in (
-                ("identity", self.eliminate_identities),
-                ("fold", self.fold_constants),
-                ("cse", self.merge_subexpressions),
-                ("fuse", self.fuse_lstm)) if on]
-            base = "+".join(enabled) if enabled else "structural"
-        return base if self.backend == "interp" else base + "+codegen"
+        if self == PlanOptions.full():
+            return "full"
+        enabled = [name for name, on in (
+            ("identity", self.eliminate_identities),
+            ("fold", self.fold_constants),
+            ("cse", self.merge_subexpressions),
+            ("fuse", self.fuse_lstm)) if on]
+        return "+".join(enabled) if enabled else "structural"
 
 
 #: optimization-pass names (as used by quarantine and pass records)
@@ -203,10 +171,10 @@ class PassQuarantine:
                    op_name: str | None = None,
                    sticky: bool = True) -> QuarantineEntry:
         """Disable ``pass_name`` for this session until cleared/lifted."""
-        if pass_name not in PASS_FLAGS and pass_name != "codegen":
+        if pass_name not in PASS_FLAGS:
             raise ValueError(
                 f"unknown compiler pass {pass_name!r}; expected one of "
-                f"{sorted(PASS_FLAGS) + ['codegen']}")
+                f"{sorted(PASS_FLAGS)}")
         entry = QuarantineEntry(pass_name, reason=reason, op_name=op_name,
                                 sticky=sticky)
         self._entries[pass_name] = entry
@@ -233,18 +201,11 @@ class PassQuarantine:
         return lifted
 
     def filter(self, options: "PlanOptions") -> "PlanOptions":
-        """``options`` with every quarantined pass forced off.
-
-        Quarantining the pseudo-pass ``"codegen"`` forces the plan
-        backend back to the interpreter; the pass flags are untouched.
-        """
+        """``options`` with every quarantined pass forced off."""
         if not self._entries:
             return options
-        disabled = {PASS_FLAGS[name]: False for name in self._entries
-                    if name in PASS_FLAGS}
-        if "codegen" in self._entries:
-            disabled["backend"] = "interp"
-        return replace(options, **disabled)
+        return replace(options, **{PASS_FLAGS[name]: False
+                                   for name in self._entries})
 
     def as_dict(self) -> dict:
         return {"version": self.version,
@@ -337,27 +298,10 @@ class ExecutionPlan:
         # Keeps synthesized ops (folded Consts, fused cells) alive and
         # out of the user's graph.
         self.plan_graph = plan_graph
-        #: codegen-backend schedule: a mixed list of CompiledStep and
-        #: CompiledRegion entries covering exactly the steps above, or
-        #: None for interpreter plans (see repro.framework.codegen)
-        self.program = None
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def regions(self) -> tuple:
-        """The plan's CompiledRegions (empty for interpreter plans)."""
-        if self.program is None:
-            return ()
-        from .memory import K_REGION
-        return tuple(entry for entry in self.program
-                     if entry.kind == K_REGION)
-
-    def kernel_sources(self) -> list[tuple[str, str]]:
-        """``(label, generated_source)`` for every compiled region."""
-        return [(region.label, region.source) for region in self.regions]
 
     @property
     def planned_peak_bytes(self) -> int:
@@ -408,14 +352,6 @@ class ExecutionPlan:
             f"{_format_bytes(m.arena_peak_bytes)} in {m.num_buffers} "
             f"buffers (hit rate {m.hit_rate:.1%}, saves "
             f"{_format_bytes(m.reuse_saving_bytes)}/step)")
-        if self.program is not None:
-            regions = self.regions
-            covered = sum(len(region.steps) for region in regions)
-            collapsed = sum(region.collapsed for region in regions)
-            lines.append(
-                f"  {'codegen':<10s} {len(regions)} regions covering "
-                f"{covered}/{self.num_steps} steps; {collapsed} ops "
-                f"collapsed into larger expressions")
         lines.append(
             f"  {'compile':<10s} {self.compile_seconds * 1e3:.2f} ms; "
             f"{self.num_steps} steps over {self.num_slots} slots; "
@@ -627,25 +563,13 @@ def compile_plan(graph: Graph, fetches, options=None) -> ExecutionPlan:
         f"{len(slot_specs)} slots, {len(pinned)} pinned",
         memory.planned_peak_bytes))
 
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         graph=graph, graph_version=graph_version,
         fetches=tuple(fetch_list), options=options, steps=steps,
         num_slots=len(slot_specs), fetch_slots=fetch_slots,
         placeholders=tuple(placeholders), memory=memory,
         pass_records=records, stats=stats, fused_cells=fused_cells,
         compile_seconds=time.perf_counter() - start, plan_graph=plan_graph)
-    if options.backend == "codegen":
-        from .codegen import build_program
-        plan.program = build_program(steps, pinned, plan_graph)
-        regions = plan.regions
-        covered = sum(len(region.steps) for region in regions)
-        collapsed = sum(region.collapsed for region in regions)
-        records.append(PassRecord(
-            "codegen", len(steps), len(plan.program),
-            f"{len(regions)} regions over {covered} steps, "
-            f"{collapsed} ops collapsed", memory.planned_peak_bytes))
-        plan.compile_seconds = time.perf_counter() - start
-    return plan
 
 
 # -- passes -----------------------------------------------------------------

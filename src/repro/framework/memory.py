@@ -29,9 +29,6 @@ from typing import Sequence
 K_COMPUTE = 0
 K_PLACEHOLDER = 1
 K_CONST = 2
-#: a codegen-backend CompiledRegion (repro.framework.codegen), not a
-#: single op; never appears in ExecutionPlan.steps, only in .program
-K_REGION = 3
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError, FeedError, GuardrailViolation
 from .graph import Graph, Operation, Tensor, get_default_graph
-from .memory import K_CONST, K_PLACEHOLDER, K_REGION
+from .memory import K_CONST, K_PLACEHOLDER
 from .ops.state_ops import Placeholder, VariableOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -247,12 +247,6 @@ class HealingPolicy:
         if effective != PlanOptions.structural():
             enabled = [name for name, flag in PASS_FLAGS.items()
                        if getattr(effective, flag)]
-            if effective.backend != "interp":
-                # The structural tier is the *interpreted* structural
-                # tier: a demotion turns generated kernels off along
-                # with the optimizing passes, and re-escalation lifts
-                # the soft quarantine to restore them together.
-                enabled.append("codegen")
             self._emit(DegradationEvent(
                 step=step, kind="tier_drop", op_name=blamed,
                 tier="structural",
@@ -383,17 +377,13 @@ class Session:
     """Executes a graph with its own variables and random stream."""
 
     def __init__(self, graph: Graph | None = None, seed: int = 0,
-                 optimize=None, guardrails=None, backend: str | None = None):
+                 optimize=None, guardrails=None):
         from .compiler import PassQuarantine, PlanOptions
         self.graph = graph if graph is not None else get_default_graph()
         #: optimization level plans are compiled at. None/'structural'
         #: keeps the classic interpreter's observable behaviour exactly;
-        #: 'full' (or a PlanOptions) enables the optimizing passes. The
-        #: ``backend`` argument overrides the execution backend axis
-        #: ('interp' or 'codegen') without touching the pass flags.
+        #: 'full' (or a PlanOptions) enables the optimizing passes.
         self.options = PlanOptions.coerce(optimize)
-        if backend is not None:
-            self.options = replace(self.options, backend=backend)
         #: pass-health registry; quarantined passes are skipped when
         #: compiling plans for this session (see compiler.PassQuarantine)
         self.quarantine: "PassQuarantine" = PassQuarantine()
@@ -415,11 +405,12 @@ class Session:
         self._variable_ops: dict[int, VariableOp] = {}
         self.rng = np.random.default_rng(seed)
         self._ctx = RunContext(self.rng, self._variables, self._variable_ops)
-        # Compiled plans cached per fetch set. A cached plan is reused
-        # only while it still matches the graph version and the exact
-        # fetch tensors (see ExecutionPlan.matches) — fetch *names* are
-        # just the lookup key and are never trusted on their own.
-        self._plans: dict[tuple[str, ...], "ExecutionPlan"] = {}
+        # Compiled plans cached per (effective PlanOptions, fetch names).
+        # A cached plan is reused only while it still matches the graph
+        # version and the exact fetch tensors (see ExecutionPlan.matches)
+        # — fetch *names* are just the lookup key and are never trusted
+        # on their own.
+        self._plans: dict[tuple, "ExecutionPlan"] = {}
         #: number of plan compilations / cache reuses this session did
         self.plan_compiles = 0
         self.plan_cache_hits = 0
@@ -526,7 +517,7 @@ class Session:
     def _plan_for(self, fetch_list: list[Tensor],
                   tracer: Tracer | None) -> "ExecutionPlan":
         options = self.effective_options()
-        key = (options.describe(),) + tuple(t.name for t in fetch_list)
+        key = (options,) + tuple(t.name for t in fetch_list)
         plan = self._plans.get(key)
         if plan is not None and plan.matches(self.graph, fetch_list):
             self.plan_cache_hits += 1
@@ -594,21 +585,9 @@ class Session:
         values: list = [None] * plan.num_slots
         live_bytes = 0
         peak_bytes = 0
-        if plan.program is None:
-            schedule: Sequence = plan.steps
-        else:
-            # Codegen backend: dispatch whole regions, except those that
-            # have de-optimized back to their member steps after a
-            # kernel failure (the healing path — see _region_failed).
-            schedule = []
-            for entry in plan.program:
-                if entry.kind == K_REGION and entry.deoptimized:
-                    schedule.extend(entry.steps)
-                else:
-                    schedule.append(entry)
         step_start = now() if tracer is not None else 0.0
         try:
-            for step in schedule:
+            for step in plan.steps:
                 op = step.op
                 kind = step.kind
                 if kind == K_PLACEHOLDER:
@@ -617,36 +596,6 @@ class Session:
                         fed = injector.on_feed(op, fed)
                     values[step.output_slots[0]] = fed
                     live_bytes += fed.nbytes
-                    continue
-                if kind == K_REGION:
-                    op_start = now() if tracer is not None else 0.0
-                    try:
-                        step.fn(values, ctx, injector)
-                    except Exception as exc:
-                        self._region_failed(step, exc, run_index, tracer)
-                    if tracer is not None:
-                        tracer.record(step.op, now() - op_start)
-                    if not step.validated:
-                        for slot, tensor, member in step.outputs:
-                            value = np.asarray(values[slot])
-                            if value.shape != tensor.shape:
-                                raise ExecutionError(
-                                    member.op.name,
-                                    f"produced shape {value.shape}, "
-                                    f"declared {tensor.shape} for "
-                                    f"{tensor.name}")
-                            values[slot] = value
-                        step.validated = True
-                    if guard is not None:
-                        self._screen_region(step, values, guard,
-                                            tracer, run_index)
-                    for slot in step.output_slots:
-                        live_bytes += values[slot].nbytes
-                    if live_bytes > peak_bytes:
-                        peak_bytes = live_bytes
-                    for slot in step.free_slots:
-                        live_bytes -= values[slot].nbytes
-                        values[slot] = None
                     continue
                 op_start = now() if tracer is not None else 0.0
                 try:
@@ -735,93 +684,6 @@ class Session:
             record_event = getattr(tracer, "record_event", None)
             if record_event is not None:
                 record_event(event)
-
-    def _region_failed(self, region, exc: Exception, run_index: int,
-                       tracer) -> None:
-        """Blame and de-optimize one failed codegen region; always raises.
-
-        The exception's traceback is walked against the region's
-        provenance map to find the member :class:`CompiledStep` whose
-        generated line raised; the error that propagates names that op
-        (not the region), carries its provenance chain, and defaults its
-        ``origin_pass`` to ``"codegen"`` so the healing ladder's
-        quarantine machinery can switch the backend off. The region
-        itself is marked ``deoptimized``: subsequent runs of this plan
-        interpret its member steps op-by-op while every other region
-        keeps its kernel.
-        """
-        from .codegen import blame_step
-        blamed = blame_step(region, exc)
-        step = blamed if blamed is not None else region.steps[0]
-        op = step.op
-        region.deoptimized = True
-        self._degrade(DegradationEvent(
-            step=run_index, kind="region_deopt", op_name=op.name,
-            tier=self.execution_tier, pass_name="codegen",
-            detail=f"{region.label} ({len(region.steps)} steps) falls "
-                   f"back to op-by-op interpretation after "
-                   f"{type(exc).__name__}: "
-                   + (str(exc).splitlines()[0] if str(exc) else "")),
-            tracer)
-        if isinstance(exc, ExecutionError):
-            exc.attach_provenance(step.provenance,
-                                  step.origin_pass or "codegen")
-            if exc.origin_pass is None:
-                exc.origin_pass = "codegen"
-            raise exc
-        raise ExecutionError(
-            op.name, str(exc),
-            input_shapes=[t.shape for t in op.inputs],
-            provenance=step.provenance,
-            origin_pass=step.origin_pass or "codegen") from exc
-
-    def _screen_region(self, region, values: list, guard: GuardrailPolicy,
-                       tracer, run_index: int) -> None:
-        """Guardrail-screen the values a region materialized.
-
-        Mirrors :meth:`_screen_outputs` over the region's provenance-
-        tagged outputs, patching ``values`` in place under the ``"zero"``
-        policy. Ops collapsed into a consumer's expression never
-        materialize, so only region outputs are screened — the same
-        visibility contract the memory accounting has.
-        """
-        for slot, tensor, member in region.outputs:
-            value = values[slot]
-            if not np.issubdtype(value.dtype, np.floating):
-                continue
-            bad = ~np.isfinite(value)
-            if guard.overflow_limit is not None:
-                bad |= np.abs(value) > guard.overflow_limit
-            if not bad.any():
-                continue
-            op = member.op
-            if guard.on_violation == "zero":
-                patched = value.copy()
-                patched[bad] = 0
-                values[slot] = patched
-                self._degrade(DegradationEvent(
-                    step=run_index, kind="guardrail", op_name=op.name,
-                    tier=self.execution_tier,
-                    detail=f"zeroed {int(bad.sum())} flagged value(s) "
-                           f"in {tensor.name}"), tracer)
-                continue
-            label = ("NaN" if np.isnan(value).any()
-                     else "Inf" if np.isinf(value).any() else "overflow")
-            if guard.on_violation == "deoptimize":
-                error: ExecutionError = GuardrailViolation(
-                    op.name,
-                    f"produced {label} in {tensor.name} "
-                    f"(guardrail: deoptimize)",
-                    deoptimize_hint=True)
-            else:
-                suffix = ("check_numerics" if guard.legacy_check_numerics
-                          else "guardrail")
-                error = ExecutionError(
-                    op.name,
-                    f"produced {label} in {tensor.name} ({suffix})")
-            error.attach_provenance(member.provenance,
-                                    member.origin_pass or "codegen")
-            raise error
 
     def _screen_outputs(self, step, outputs, guard: GuardrailPolicy,
                         tracer, run_index: int):

@@ -34,20 +34,14 @@ WORKLOADS: dict[str, type[FathomModel]] = {
 WORKLOAD_NAMES = list(WORKLOADS)
 
 
-def create(name: str, config: str = "default", seed: int = 0,
-           backend: str | None = None) -> FathomModel:
-    """Instantiate a workload by name.
-
-    ``backend`` selects the session's execution backend axis:
-    ``"interp"`` (the default plan interpreter) or ``"codegen"``
-    (generated region kernels; see :mod:`repro.framework.codegen`).
-    """
+def create(name: str, config: str = "default", seed: int = 0) -> FathomModel:
+    """Instantiate a workload by name."""
     try:
         workload_cls = WORKLOADS[name]
     except KeyError:
         raise KeyError(f"unknown workload {name!r}; available: "
                        f"{WORKLOAD_NAMES}") from None
-    return workload_cls(config=config, seed=seed, backend=backend)
+    return workload_cls(config=config, seed=seed)
 
 
 __all__ = [

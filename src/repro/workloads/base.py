@@ -87,7 +87,7 @@ class FathomModel(abc.ABC):
     configs: dict[str, dict[str, Any]] = {}
 
     def __init__(self, config: str | Mapping[str, Any] = "default",
-                 seed: int = 0, backend: str | None = None):
+                 seed: int = 0):
         if isinstance(config, str):
             if config not in self.configs:
                 raise KeyError(
@@ -112,11 +112,8 @@ class FathomModel(abc.ABC):
                 raise RuntimeError(
                     f"{type(self).__name__}.build() must set {attr}")
         # Workload graphs are built once and never mutated afterwards,
-        # so they opt into the full optimizing plan pipeline. The
-        # optional ``backend`` selects the execution backend axis
-        # ('interp' or 'codegen') for the session's plans.
-        self.session = Session(self.graph, seed=seed + 1, optimize="full",
-                               backend=backend)
+        # so they opt into the full optimizing plan pipeline.
+        self.session = Session(self.graph, seed=seed + 1, optimize="full")
 
     # -- to be provided by each workload ---------------------------------------
 

@@ -22,8 +22,9 @@ class TestPlanOptions:
         assert PlanOptions.coerce(custom) is custom
 
     def test_coerce_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            PlanOptions.coerce("turbo")
+        for level in ("turbo", "codegen", "full+codegen"):
+            with pytest.raises(ValueError):
+                PlanOptions.coerce(level)
         with pytest.raises(TypeError):
             PlanOptions.coerce(3)
 

@@ -21,8 +21,9 @@ def feed_x(shape=(2, 3)):
 
 class TestPassQuarantine:
     def test_unknown_pass_rejected(self):
-        with pytest.raises(ValueError, match="unknown compiler pass"):
-            PassQuarantine().quarantine("vectorize")
+        for pass_name in ("vectorize", "codegen"):
+            with pytest.raises(ValueError, match="unknown compiler pass"):
+                PassQuarantine().quarantine(pass_name)
 
     def test_filter_disables_quarantined_flags(self):
         quarantine = PassQuarantine()

@@ -317,9 +317,15 @@ class TestErrorHandling:
 
 
 class TestParsing:
-    def test_unknown_command_rejected(self):
+    def test_unknown_command_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["explode"])
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "memnet", "--config", "tiny", "--backend",
+                  "codegen"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --backend codegen" in \
+            capsys.readouterr().err
 
     def test_unknown_workload_errors(self, capsys):
         with pytest.raises(KeyError):
@@ -365,31 +371,6 @@ class TestCompile:
                             "tiny")
         assert code == 0
         assert "arena hit rate" in out
-
-    def test_codegen_backend_report(self, capsys):
-        code, out = run_cli(capsys, "compile", "memnet", "--config",
-                            "tiny", "--backend", "codegen", "--report")
-        assert code == 0
-        assert "codegen" in out and "regions" in out
-
-    def test_dump_kernels_prints_generated_source(self, capsys):
-        code, out = run_cli(capsys, "compile", "memnet", "--config",
-                            "tiny", "--backend", "codegen",
-                            "--dump-kernels")
-        assert code == 0
-        assert "def __region_kernel__(V, ctx, H):" in out
-
-    def test_dump_kernels_without_codegen_says_so(self, capsys):
-        code, out = run_cli(capsys, "compile", "memnet", "--config",
-                            "tiny", "--dump-kernels")
-        assert code == 0
-        assert "no generated kernels" in out
-
-    def test_codegen_run_trains(self, capsys):
-        code, out = run_cli(capsys, "run", "memnet", "--config", "tiny",
-                            "--steps", "2", "--backend", "codegen")
-        assert code == 0
-        assert "loss" in out
 
 
 class TestTrain:
