@@ -97,34 +97,31 @@ def test_fusion_ablation(benchmark):
 
 
 def test_automatic_fusion_on_seq2seq(benchmark):
-    """The pattern-matching pass achieves the fusion win automatically:
+    """The compiler's fusion pass achieves the fusion win automatically:
     every composed LSTM step in seq2seq's inference graph is recognized
     and replaced, with bit-identical outputs."""
-    import numpy as np
-
     from repro import workloads
-    from repro.framework.fuse import fuse_lstm_cells
+    from repro.framework.compiler import PlanOptions, compile_plan
 
-    # A fresh instance: the suite-shared cached model may have been
-    # trained by other benchmarks, while the fused graph's variables
-    # initialize from their initial values.
     model = workloads.create("seq2seq", config="default", seed=0)
+    fetches = [model.inference_output]
+    fuse_only = PlanOptions(eliminate_identities=False, fold_constants=False,
+                            merge_subexpressions=False, fuse_lstm=True)
 
     def run_pass():
-        return fuse_lstm_cells(model.graph, [model.inference_output])
+        return compile_plan(model.graph, fetches, fuse_only)
 
-    result = benchmark.pedantic(run_pass, rounds=1, iterations=1)
+    plan = benchmark.pedantic(run_pass, rounds=1, iterations=1)
     steps = model.config["sequence_length"]
     layers = model.config["num_layers"]
     expected_cells = (2 * steps + 1) * layers
-    print(f"\nauto-fusion: {result.fused_cells} LSTM steps fused, "
-          f"{result.stats.ops_in} -> {result.stats.ops_out} ops")
-    assert result.fused_cells == expected_cells
-    assert result.stats.ops_out < 0.5 * result.stats.ops_in
+    print(f"\nauto-fusion: {plan.fused_cells} LSTM steps fused, "
+          f"{plan.stats.ops_in} -> {plan.stats.ops_out} ops")
+    assert plan.fused_cells == expected_cells
+    assert plan.stats.ops_out < 0.5 * plan.stats.ops_in
 
     feed = model.sample_feed(training=False)
-    original = model.session.run(model.inference_output, feed_dict=feed)
-    fused = Session(result.graph, seed=0).run(
-        result.map_tensor(model.inference_output),
-        feed_dict=result.map_feed(feed))
-    np.testing.assert_allclose(original, fused, rtol=1e-5, atol=1e-6)
+    structural = Session(model.graph, seed=0).run(fetches, feed_dict=feed)
+    fused = Session(model.graph, seed=0, optimize=fuse_only).run(
+        fetches, feed_dict=feed)
+    np.testing.assert_array_equal(structural[0], fused[0])

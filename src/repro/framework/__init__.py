@@ -22,7 +22,7 @@ Quick tour::
 from . import (autodiff, calibrate, checkpoint, compiler, cost_model,
                device_model, faults, fuse, gradient_check, graph_export,
                initializers, layers, memory, ops, optimizers, placement,
-               resilience, rewrite, rnn)
+               resilience, rnn)
 from .autodiff import gradients
 from .compiler import (ExecutionPlan, PassQuarantine, PlanOptions,
                        QuarantineEntry, compile_plan)
@@ -49,7 +49,7 @@ __all__ = [
     "autodiff", "calibrate", "checkpoint", "compiler", "cost_model",
     "device_model", "faults", "fuse", "gradient_check", "graph_export",
     "initializers", "layers", "memory", "ops", "optimizers", "placement",
-    "resilience", "rewrite", "rnn",
+    "resilience", "rnn",
     "calibrate_cpu", "check_gradients",
     "gradients", "WorkEstimate",
     "ExecutionPlan", "PassQuarantine", "PlanOptions", "QuarantineEntry",

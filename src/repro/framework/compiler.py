@@ -44,11 +44,54 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph, Operation, Tensor
+from .graph import Graph, OpClass, Operation, Tensor
 from .memory import K_COMPUTE, K_CONST, K_PLACEHOLDER, MemoryPlan, plan_memory
-from .ops.state_ops import Const, Identity, Placeholder
-from .rewrite import (_FOLD_SIZE_LIMIT, RewriteStats, _FoldContext, _attr_key,
-                      _is_pure)
+from .ops.state_ops import Const, Identity, Placeholder, VariableOp
+from .session import RunContext
+
+#: op classes the passes never fold, merge or eliminate
+_IMPURE_CLASSES = frozenset({OpClass.STATE, OpClass.OPTIMIZATION,
+                             OpClass.RANDOM_SAMPLING, OpClass.CONTROL})
+
+#: do not materialize folded constants above this many elements
+_FOLD_SIZE_LIMIT = 1 << 20
+
+
+@dataclass
+class RewriteStats:
+    """What the optimization passes did to one plan."""
+
+    ops_in: int = 0
+    ops_out: int = 0
+    identities_removed: int = 0
+    constants_folded: int = 0
+    subexpressions_merged: int = 0
+
+    @property
+    def removed(self) -> int:
+        return self.ops_in - self.ops_out
+
+
+def _is_pure(op: Operation) -> bool:
+    return (op.op_class not in _IMPURE_CLASSES
+            and not isinstance(op, (Placeholder, VariableOp)))
+
+
+def _attr_key(value) -> object:
+    """Hashable projection of one attribute value for CSE keys."""
+    if isinstance(value, np.ndarray):
+        return (value.shape, str(value.dtype), value.tobytes())
+    if isinstance(value, np.dtype):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_attr_key(v) for v in value)
+    if isinstance(value, Operation):
+        # Keyed by name + type, not id(): an id can be recycled by the
+        # allocator once an earlier graph's operations are collected,
+        # which would silently merge unrelated ops. Names are unique
+        # within a graph, so this key is stable.
+        return ("op", value.name, value.type_name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -598,7 +641,8 @@ def _pass_fold(nodes: list[_Node], values: _Values,
     (so ``check_numerics`` still names the original op at run time), or
     disagrees with the declared output spec.
     """
-    fold_ctx = _FoldContext()
+    # No state and no randomness: impure ops never reach the kernel here.
+    fold_ctx = RunContext(rng=None, variables={}, variable_ops={})
     kept = []
     folded = 0
     # Provenance chains for folded values: a fold over already-folded
@@ -699,7 +743,7 @@ def _pass_fuse(graph: Graph, fetch_list: list[Tensor],
     from .ops.math_ops import Tanh
     from .ops.rnn_ops import LSTMBlockCellOp
 
-    matches = find_lstm_matches(graph, fetch_list, allow_recoverable=True)
+    matches = find_lstm_matches(graph, sub_ops, fetch_list)
     if not matches:
         return nodes, 0
     for node in nodes:

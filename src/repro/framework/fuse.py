@@ -1,33 +1,26 @@
-"""Automatic LSTM fusion: a pattern-matching graph pass.
+"""The LSTM pattern matcher behind the plan compiler's fusion pass.
 
 The fusion ablation (``benchmarks/bench_ablation_fusion.py``) shows that
 replacing the composed ~16-primitive LSTM step with the fused
 ``LSTMBlockCell`` op removes most of a recurrent graph's dispatch cost.
-This module does that substitution *automatically*: it pattern-matches
-the exact operator tree :class:`repro.framework.rnn.LSTMCell` emits —
+This module recognizes the exact operator tree
+:class:`repro.framework.rnn.LSTMCell` emits —
 
     gates = BiasAdd(MatMul(Concat([x, h]), kernel), bias)
     i, j, f, o = Slice(gates) x4
     new_c = c * sigmoid(f + forget_bias) + sigmoid(i) * tanh(j)
     new_h = tanh(new_c) * sigmoid(o)
 
-— and transcribes each match into a single ``LSTMBlockCell`` node. A
-match is only rewritten when every interior tensor is consumed inside
-the pattern (so graphs that already had gradients taken, whose backward
-ops read the gate activations, are left intact); fuse first, then call
-``gradients`` — the fused op has its own fused backward.
+— and :func:`repro.framework.compiler.compile_plan` replaces each match
+with a single ``LSTMBlockCell`` step (``PlanOptions.fuse_lstm``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import Graph, Operation, Tensor
-from .ops.rnn_ops import LSTMBlockCellOp
 from .ops.state_ops import Const
-from .rewrite import RewriteResult, RewriteStats, _remap_attrs
 
 
 @dataclass
@@ -65,15 +58,14 @@ def _is_type(tensor: Tensor, type_name: str) -> bool:
 
 def _match_gate_slice(tensor: Tensor, hidden: int, index: int,
                       gates: Tensor) -> bool:
-    """Is ``tensor`` the index-th H-wide axis-1 slice of ``gates``?"""
+    """Is ``tensor`` the index-th H-wide, full-batch slice of ``gates``?"""
     if not _is_type(tensor, "Slice"):
         return False
     op = tensor.op
     if op.inputs[0] is not gates:
         return False
-    begin, size = op.attrs["begin"], op.attrs["size"]
-    return (begin[0] == 0 and begin[1] == index * hidden
-            and size[1] == hidden)
+    return (tuple(op.attrs["begin"]) == (0, index * hidden)
+            and tuple(op.attrs["size"]) == (gates.shape[0], hidden))
 
 
 def _match_cell(new_h_op: Operation) -> _LSTMMatch | None:
@@ -180,28 +172,21 @@ def _match_cell(new_h_op: Operation) -> _LSTMMatch | None:
 
 def _externally_clean(match: _LSTMMatch, graph: Graph,
                       fetch_names: set[str],
-                      subgraph_ids: set[int],
-                      allow_recoverable: bool = False) -> bool:
+                      op_by_id: dict[int, Operation]) -> bool:
     """Every interior tensor (except new_c/new_h) stays inside the match.
 
-    Only consumers inside the transcribed subgraph count: ops outside the
-    fetch subgraph (e.g. a training graph's backward pass when fusing the
-    inference fetches) are not transcribed, so they cannot dangle.
-
-    With ``allow_recoverable``, consumers of the six recoverable
-    interior tensors (see :class:`_LSTMMatch`) are tolerated — the
-    caller promises to re-materialize those values from the fused op's
-    outputs. A *fetched* interior tensor always vetoes the match, even a
-    recoverable one: fetches are the user-visible contract, and the
-    structural tier must observe the identical tensor object.
+    Only consumers inside the fetch subgraph (``op_by_id``) count, and
+    consumers of the six recoverable interior tensors (see
+    :class:`_LSTMMatch`) are tolerated: the compiler re-materializes
+    those values from the fused op's outputs. A *fetched* interior tensor
+    always vetoes the match, even a recoverable one: fetches are the
+    user-visible contract, and the structural tier must observe the
+    identical tensor object.
     """
     boundary = {match.new_c.name, match.new_h.name}
-    recoverable_names = ({t.name for t in match.recoverable.values()}
-                         if allow_recoverable else set())
-    for op in graph.operations:
-        if id(op) not in match.interior:
-            continue
-        for tensor in op.outputs:
+    recoverable_names = {t.name for t in match.recoverable.values()}
+    for op_id in match.interior:
+        for tensor in op_by_id[op_id].outputs:
             if tensor.name in boundary:
                 continue
             if tensor.name in fetch_names:
@@ -209,85 +194,34 @@ def _externally_clean(match: _LSTMMatch, graph: Graph,
             if tensor.name in recoverable_names:
                 continue
             for consumer in graph.consumers(tensor):
-                if id(consumer) in subgraph_ids and \
+                if id(consumer) in op_by_id and \
                         id(consumer) not in match.interior:
                     return False
     return True
 
 
-def find_lstm_matches(graph: Graph, fetches: list[Tensor],
-                      allow_recoverable: bool = False) -> list[_LSTMMatch]:
+def find_lstm_matches(graph: Graph, sub_ops: list[Operation],
+                      fetches: list[Tensor]) -> list[_LSTMMatch]:
     """Recognize every fusible composed-LSTM step in a fetch subgraph.
 
-    Returns structurally valid, externally clean, mutually disjoint
-    matches in topological (construction) order. Shared by
-    :func:`fuse_lstm_cells` and the plan compiler's fusion pass, which
-    additionally revalidates cleanliness against its own rewritten view
-    of the subgraph. ``allow_recoverable`` relaxes cleanliness to admit
-    matches whose gate activations escape into a backward pass (the
-    caller must then emit recovery ops for the escaping values).
+    ``sub_ops`` is the pruned subgraph of ``fetches`` in topological
+    order. Returns structurally valid, externally clean, mutually
+    disjoint matches in that order; the compiler's fusion pass then
+    revalidates each against its own rewritten view of the subgraph and
+    emits recovery ops for escaping recoverable values.
     """
-    ops = graph.subgraph(fetches)
-    subgraph_ids = {id(op) for op in ops}
+    op_by_id = {id(op): op for op in sub_ops}
     fetch_names = {t.name for t in fetches}
     matches: list[_LSTMMatch] = []
     claimed: set[int] = set()
-    for op in ops:
+    for op in sub_ops:
         match = _match_cell(op)
         if match is None:
             continue
         if match.interior & claimed:
             continue
-        if not _externally_clean(match, graph, fetch_names, subgraph_ids,
-                                 allow_recoverable):
+        if not _externally_clean(match, graph, fetch_names, op_by_id):
             continue
         matches.append(match)
         claimed |= match.interior
     return matches
-
-
-def fuse_lstm_cells(graph: Graph, fetches: list[Tensor]) -> RewriteResult:
-    """Transcribe ``fetches``' subgraph, fusing every recognizable
-    composed LSTM step into a single ``LSTMBlockCell`` op."""
-    ops = graph.subgraph(fetches)
-    stats = RewriteStats(ops_in=len(ops))
-
-    matches = find_lstm_matches(graph, fetches)
-    claimed: set[int] = set()
-    for match in matches:
-        claimed |= match.interior
-    anchor_to_match = {id(m.anchor): m for m in matches}
-
-    new_graph = Graph()
-    tensor_map: dict[str, Tensor] = {}
-    op_map: dict[int, Operation] = {}
-    with new_graph.as_default():
-        for op in ops:
-            if id(op) in claimed:
-                match = anchor_to_match.get(id(op))
-                if match is None:
-                    continue  # interior op; outputs never needed outside
-                block = LSTMBlockCellOp(
-                    [tensor_map[match.x.name], tensor_map[match.c.name],
-                     tensor_map[match.h.name],
-                     tensor_map[match.kernel.name],
-                     tensor_map[match.bias.name]],
-                    attrs={"forget_bias": match.forget_bias},
-                    name=f"{op.name}/fused")
-                tensor_map[match.new_c.name] = block.outputs[0]
-                tensor_map[match.new_h.name] = block.outputs[1]
-                continue
-            new_inputs = [tensor_map[t.name] for t in op.inputs]
-            new_op = type(op)(new_inputs,
-                              attrs=_remap_attrs(op.attrs, op_map),
-                              name=op.name)
-            op_map[id(op)] = new_op
-            for old, created in zip(op.outputs, new_op.outputs):
-                tensor_map[old.name] = created
-
-    stats.ops_out = len(new_graph)
-    stats.subexpressions_merged = 0
-    result = RewriteResult(graph=new_graph, stats=stats,
-                           _tensor_map=tensor_map)
-    result.fused_cells = len(matches)
-    return result

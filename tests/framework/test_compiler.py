@@ -232,3 +232,32 @@ class TestLSTMFusionPass:
                         if op.type_name == "Sigmoid")
         plan = compile_plan(graph, [new_c, new_h, interior], "full")
         assert plan.fused_cells == 0
+
+    def test_partial_batch_gate_slices_not_fused(self, fresh_graph):
+        """Regression: a gate Slice covering only some batch rows was
+        matched, and the fused kernel silently changed the output."""
+        from repro.framework.initializers import glorot_uniform
+        hidden = 3
+        rng = np.random.default_rng(0)
+        x = ops.placeholder((2, 4), name="x")
+        c = ops.constant(np.zeros((2, hidden), np.float32))
+        h = ops.constant(np.zeros((2, hidden), np.float32))
+        kernel = ops.variable(glorot_uniform(rng, (4 + hidden, 4 * hidden)))
+        bias = ops.variable(np.zeros(4 * hidden, np.float32))
+        gates = ops.bias_add(ops.matmul(ops.concat([x, h], axis=1), kernel),
+                             bias)
+
+        def gate(index, rows=2):
+            return ops.slice_(gates, (0, index * hidden), (rows, hidden))
+
+        new_c = ops.add(
+            ops.multiply(c, ops.sigmoid(ops.add(gate(2), 1.0))),
+            ops.multiply(ops.sigmoid(gate(0, rows=1)),
+                         ops.tanh(gate(1, rows=1))))
+        new_h = ops.multiply(ops.tanh(new_c), ops.sigmoid(gate(3)))
+        graph = get_default_graph()
+        assert compile_plan(graph, [new_h], "full").fused_cells == 0
+        feed = {x: rng.normal(size=(2, 4)).astype(np.float32)}
+        np.testing.assert_array_equal(
+            Session(graph, optimize="full").run(new_h, feed_dict=feed),
+            Session(graph).run(new_h, feed_dict=feed))

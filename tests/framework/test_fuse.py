@@ -1,12 +1,10 @@
-"""Tests for the automatic LSTM fusion pass."""
+"""Tests for the plan compiler's automatic LSTM fusion pass."""
 
 import numpy as np
-import pytest
 
 from repro.framework import ops, rnn
-from repro.framework.autodiff import gradients
-from repro.framework.fuse import fuse_lstm_cells
-from repro.framework.graph import Graph, get_default_graph
+from repro.framework.compiler import PlanOptions, compile_plan
+from repro.framework.graph import get_default_graph
 from repro.framework.session import Session
 
 
@@ -29,119 +27,82 @@ def unrolled_stack(rng, steps=4, hidden=8, batch=2, layers=2):
     return inputs, outputs, cells
 
 
+FUSE_ONLY = PlanOptions(eliminate_identities=False, fold_constants=False,
+                        merge_subexpressions=False, fuse_lstm=True)
+
+
 class TestFusionMatching:
     def test_every_step_fused(self, fresh_graph, rng):
         inputs, outputs, _ = unrolled_stack(rng, steps=4, layers=2)
-        result = fuse_lstm_cells(get_default_graph(), [outputs[-1]])
-        assert result.fused_cells == 8  # 4 steps x 2 layers
-        fused_ops = [op for op in result.graph.operations
-                     if op.type_name == "LSTMBlockCell"]
-        assert len(fused_ops) == 8
+        plan = compile_plan(get_default_graph(), [outputs[-1]], FUSE_ONLY)
+        assert plan.fused_cells == 8  # 4 steps x 2 layers
+        types = [step.op.type_name for step in plan.steps]
+        assert types.count("LSTMBlockCell") == 8
         # The composed primitives are gone.
-        assert not any(op.type_name == "Concat"
-                       for op in result.graph.operations)
-        assert result.stats.ops_out < 0.4 * result.stats.ops_in
+        assert "Concat" not in types
+        assert plan.stats.ops_out < 0.4 * plan.stats.ops_in
 
     def test_fused_graph_is_numerically_identical(self, fresh_graph, rng):
-        inputs, outputs, cells = unrolled_stack(rng, steps=3, layers=1)
-        result = fuse_lstm_cells(get_default_graph(), [outputs[-1]])
+        inputs, outputs, _ = unrolled_stack(rng, steps=3, layers=1)
+        graph = get_default_graph()
+        assert compile_plan(graph, [outputs[-1]], FUSE_ONLY).fused_cells == 3
         feed = {p: rng.standard_normal(p.shape).astype(np.float32)
                 for p in inputs}
-        original = Session(get_default_graph(), seed=0).run(
+        original = Session(graph, seed=0).run(outputs[-1], feed_dict=feed)
+        fused = Session(graph, seed=0, optimize=FUSE_ONLY).run(
             outputs[-1], feed_dict=feed)
-        fused = Session(result.graph, seed=0).run(
-            result.map_tensor(outputs[-1]),
-            feed_dict=result.map_feed(feed))
-        np.testing.assert_allclose(original, fused, rtol=1e-4, atol=1e-6)
+        np.testing.assert_array_equal(original, fused)
 
     def test_non_lstm_graphs_untouched(self, fresh_graph, rng):
         x = ops.placeholder((4, 8), name="x")
         out = ops.tanh(ops.matmul(
             x, ops.constant(rng.standard_normal((8, 4))
                             .astype(np.float32))))
-        result = fuse_lstm_cells(get_default_graph(), [out])
-        assert result.fused_cells == 0
-        assert result.stats.ops_out == result.stats.ops_in
+        plan = compile_plan(get_default_graph(), [out], FUSE_ONLY)
+        assert plan.fused_cells == 0
+        assert plan.stats.ops_out == plan.stats.ops_in
 
     def test_gru_not_mistaken_for_lstm(self, fresh_graph, rng):
         cell = rnn.GRUCell(8, 8, rng)
         x = ops.placeholder((2, 8), name="x")
         out, _ = cell(x, cell.zero_state(2))
-        result = fuse_lstm_cells(get_default_graph(), [out])
-        assert result.fused_cells == 0
+        plan = compile_plan(get_default_graph(), [out], "full")
+        assert plan.fused_cells == 0
 
     def test_interior_tensor_with_external_consumer_blocks_fusion(
             self, fresh_graph, rng):
         cell = rnn.LSTMCell(8, 8, rng)
         x = ops.placeholder((2, 8), name="x")
-        out, (new_c, _) = cell(x, cell.zero_state(2))
+        out, _ = cell(x, cell.zero_state(2))
         # Fetch an interior tensor (the pre-activation gates) directly.
         gates_op = next(op for op in get_default_graph().operations
                         if op.type_name == "BiasAdd")
-        result = fuse_lstm_cells(get_default_graph(),
-                                 [out, gates_op.outputs[0]])
-        assert result.fused_cells == 0
-
-    def test_training_graph_with_gradients_left_intact(self, fresh_graph,
-                                                       rng):
-        """Backward ops consume the gate activations, so a graph that
-        already has gradients is not fusable (documented behaviour)."""
-        cell = rnn.LSTMCell(8, 8, rng)
-        x = ops.placeholder((2, 8), name="x")
-        out, _ = cell(x, cell.zero_state(2))
-        loss = ops.reduce_sum(ops.square(out))
-        grads = gradients(loss, [cell.kernel])
-        result = fuse_lstm_cells(get_default_graph(), [loss, grads[0]])
-        assert result.fused_cells == 0
+        plan = compile_plan(get_default_graph(),
+                            [out, gates_op.outputs[0]], "full")
+        assert plan.fused_cells == 0
 
 
 class TestWorkloadFusion:
     def test_seq2seq_inference_fuses_every_step(self):
         from repro import workloads
         model = workloads.create("seq2seq", config="tiny", seed=0)
-        result = fuse_lstm_cells(model.graph, [model.inference_output])
-        # encoder steps + decoder steps, times layers.
+        plan = compile_plan(model.graph, [model.inference_output],
+                            FUSE_ONLY)
+        # encoder steps + decoder steps (+ the go step), times layers.
         steps = model.config["sequence_length"]
         layers = model.config["num_layers"]
         expected = (steps + steps + 1) * layers
-        assert result.fused_cells == expected
-        # Bit-identical output (fusion reorders no float arithmetic that
-        # matters here).
+        assert plan.fused_cells == expected
         feed = model.sample_feed(training=False)
-        original = model.session.run(model.inference_output,
-                                     feed_dict=feed)
-        fused = Session(result.graph, seed=0).run(
-            result.map_tensor(model.inference_output),
-            feed_dict=result.map_feed(feed))
-        np.testing.assert_allclose(original, fused, rtol=1e-5, atol=1e-6)
+        original = Session(model.graph, seed=0).run(
+            model.inference_output, feed_dict=feed)
+        fused = Session(model.graph, seed=0, optimize=FUSE_ONLY).run(
+            model.inference_output, feed_dict=feed)
+        np.testing.assert_array_equal(original, fused)
 
     def test_lstm_lm_fuses(self):
         from repro.workloads import extensions
         model = extensions.create("lstm_lm", config="tiny", seed=0)
-        result = fuse_lstm_cells(model.graph, [model.inference_output])
-        assert result.fused_cells == (model.config["sequence_length"]
-                                      * model.config["num_layers"])
-
-
-class TestFuseThenTrain:
-    def test_gradients_on_fused_graph(self, fresh_graph, rng):
-        """The supported workflow: build forward, fuse, then autodiff —
-        the fused op brings its own fused backward."""
-        from repro.framework.optimizers import AdamOptimizer
-        inputs, outputs, cells = unrolled_stack(rng, steps=3, layers=1)
-        result = fuse_lstm_cells(get_default_graph(), [outputs[-1]])
-        with result.graph.as_default():
-            fused_out = result.map_tensor(outputs[-1])
-            loss = ops.reduce_mean(ops.square(ops.subtract(fused_out,
-                                                           0.5)))
-            train = AdamOptimizer(0.05).minimize(loss)
-        session = Session(result.graph, seed=0)
-        feed = result.map_feed(
-            {p: rng.standard_normal(p.shape).astype(np.float32)
-             for p in inputs})
-        first = session.run(loss, feed_dict=feed)
-        for _ in range(50):
-            session.run(train, feed_dict=feed)
-        assert session.run(loss, feed_dict=feed) < 0.5 * first
-        types = {op.type_name for op in result.graph.operations}
-        assert "LSTMBlockGrad" in types
+        plan = compile_plan(model.graph, [model.inference_output], "full")
+        assert plan.fused_cells == (model.config["sequence_length"]
+                                    * model.config["num_layers"])

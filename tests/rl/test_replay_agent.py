@@ -51,6 +51,18 @@ class TestReplayBuffer:
         state[:] = 99.0
         assert buffer.sample(1)["states"].max() == 0.0
 
+    def test_paper_scale_capacity_allocates_on_demand(self):
+        """A 10^6-frame Atari buffer would need 2 x 105 GiB up front."""
+        buffer = ReplayBuffer(10**6, state_shape=(84, 84, 4), seed=0)
+        for i in range(3):
+            state = np.full((84, 84, 4), i, dtype=np.float32)
+            buffer.add(state, i, float(i), state + 1, False)
+        batch = buffer.sample(16)
+        assert len(buffer) == 3
+        assert batch["states"].shape == (16, 84, 84, 4)
+        np.testing.assert_array_equal(batch["next_states"][:, 0, 0, 0],
+                                      batch["rewards"] + 1)
+
 
 class TestEpsilonSchedule:
     def test_linear_annealing(self):
